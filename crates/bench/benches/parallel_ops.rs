@@ -1,7 +1,9 @@
 //! The recommended actions, measured: parallel search / init / max / sort
 //! against their sequential baselines across thread counts. These are the
 //! §V per-use-case speedups (the paper's 2.30 priority-queue search, the
-//! 1.77 array init, ...) as Criterion benches.
+//! 1.77 array init, ...) as Criterion benches. Each iteration black-boxes
+//! the collected result itself, so the optimizer cannot drop the work that
+//! builds it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dsspy_parallel::{par_find_all, par_for_init, par_max_by_key, par_merge_sort};
@@ -42,11 +44,11 @@ fn bench_init(c: &mut Criterion) {
     group.throughput(Throughput::Elements(N as u64));
     let f = |i: usize| (i as f64 * 0.001).sin();
     group.bench_function("sequential", |b| {
-        b.iter(|| std::hint::black_box((0..N).map(f).collect::<Vec<f64>>().len()))
+        b.iter(|| std::hint::black_box((0..N).map(f).collect::<Vec<f64>>()))
     });
     for threads in [2usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
-            b.iter(|| std::hint::black_box(par_for_init(N, t, f).len()))
+            b.iter(|| std::hint::black_box(par_for_init(N, t, f)))
         });
     }
     group.finish();
@@ -63,14 +65,13 @@ fn bench_search_all(c: &mut Criterion) {
                     .enumerate()
                     .filter(|(_, v)| **v % 1009 == 0)
                     .map(|(i, _)| i)
-                    .collect::<Vec<usize>>()
-                    .len(),
+                    .collect::<Vec<usize>>(),
             )
         })
     });
     for threads in [2usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
-            b.iter(|| std::hint::black_box(par_find_all(&data, t, |v| *v % 1009 == 0).len()))
+            b.iter(|| std::hint::black_box(par_find_all(&data, t, |v| *v % 1009 == 0)))
         });
     }
     group.finish();
@@ -84,7 +85,7 @@ fn bench_sort(c: &mut Criterion) {
         b.iter(|| {
             let mut d = data.clone();
             d.sort_unstable();
-            std::hint::black_box(d[0])
+            std::hint::black_box(d)
         })
     });
     for threads in [2usize, 4, 8] {
@@ -92,7 +93,7 @@ fn bench_sort(c: &mut Criterion) {
             b.iter(|| {
                 let mut d = data.clone();
                 par_merge_sort(&mut d, t);
-                std::hint::black_box(d[0])
+                std::hint::black_box(d)
             })
         });
     }

@@ -1,10 +1,11 @@
 //! The per-artifact regeneration functions.
 
 use std::fmt::Write;
+use std::time::Instant;
 
 use dsspy_collect::Session;
 use dsspy_collections::SpyVec;
-use dsspy_core::{measure_avg_nanos, Dsspy, Report};
+use dsspy_core::{measure_avg_nanos, Dsspy};
 use dsspy_events::AllocationSite;
 use dsspy_parallel::{
     default_threads, par_find_all, par_for_init, par_map, par_max_by_key, par_merge_sort,
@@ -297,22 +298,26 @@ fn evaluate_one(w: &dyn Workload, scale: Scale, runs: usize, threads: usize) -> 
     let plain = measure_avg_nanos(runs, || {
         std::hint::black_box(w.run(scale, Mode::Plain));
     });
-    // Instrumented runs include session setup/teardown and analysis-free
-    // collection, matching the paper's "data collection" phase.
-    let mut last_report: Option<Report> = None;
-    let instrumented = measure_avg_nanos(runs, || {
-        // The analysis fan-out dogfoods the same thread budget the parallel
-        // workload variants get.
-        let dsspy = Dsspy::new().with_threads(threads);
-        let report = dsspy.profile(|session| {
-            std::hint::black_box(w.run(scale, Mode::Instrumented(session)));
-        });
-        last_report = Some(report);
-    });
+    // Instrumented runs time session setup, the program and `finish` —
+    // the paper's "data collection" phase. Each capture is analyzed, and
+    // dropped, outside the timed window. The analysis fan-out dogfoods the
+    // same thread budget the parallel workload variants get.
+    let dsspy = Dsspy::new().with_threads(threads);
+    let mut last_report = None;
+    let mut instrumented = 0u128;
+    for _ in 0..runs.max(1) {
+        let start = Instant::now();
+        let session = Session::with_config(dsspy.session);
+        std::hint::black_box(w.run(scale, Mode::Instrumented(&session)));
+        let capture = session.finish();
+        instrumented += start.elapsed().as_nanos();
+        last_report = Some(dsspy.analyze_capture(&capture));
+    }
+    let instrumented = (instrumented / runs.max(1) as u128) as u64;
+    let report = last_report.expect("at least one run");
     let parallel = measure_avg_nanos(runs, || {
         std::hint::black_box(w.run(scale, Mode::Parallel(threads)));
     });
-    let report = last_report.expect("at least one run");
     let projected_8core = w.fractions(scale).map(|f| f.amdahl_bound(8));
     EvaluationRow {
         name: spec.name.to_string(),
@@ -489,11 +494,10 @@ pub fn speedups(runs: usize) -> String {
             .filter(|(_, v)| **v % 1009 == 0)
             .map(|(i, _)| i)
             .collect();
-        std::hint::black_box(hits.len());
+        std::hint::black_box(hits);
     });
     let par = measure_avg_nanos(runs, || {
-        let hits = par_find_all(&data, threads, |v| *v % 1009 == 0);
-        std::hint::black_box(hits.len());
+        std::hint::black_box(par_find_all(&data, threads, |v| *v % 1009 == 0));
     });
     let _ = writeln!(
         out,
@@ -501,16 +505,17 @@ pub fn speedups(runs: usize) -> String {
         seq as f64 / par.max(1) as f64
     );
 
-    // Sort-After-Insert: parallel merge sort.
+    // Sort-After-Insert: parallel sort (median split, halves sorted
+    // concurrently).
     let seq = measure_avg_nanos(runs, || {
         let mut d = data.clone();
         d.sort_unstable();
-        std::hint::black_box(d.len());
+        std::hint::black_box(d);
     });
     let par = measure_avg_nanos(runs, || {
         let mut d = data.clone();
         par_merge_sort(&mut d, threads);
-        std::hint::black_box(d.len());
+        std::hint::black_box(d);
     });
     let _ = writeln!(
         out,

@@ -6,12 +6,12 @@
 //! contiguous chunk, so there is no synchronization on the hot path and the
 //! results are bit-identical to the sequential versions.
 
-use crate::chunk_ranges;
+use crate::{concat, run_chunks};
 
 /// Parallel map: apply `f` to every element, preserving order.
 ///
 /// Equivalent to `input.iter().map(f).collect()`, computed on `threads`
-/// scoped workers over contiguous chunks.
+/// workers over contiguous chunks.
 ///
 /// ```
 /// let doubled = dsspy_parallel::par_map(&[1, 2, 3], 2, |v| v * 2);
@@ -22,28 +22,9 @@ pub fn par_map<T: Sync, U: Send>(
     threads: usize,
     f: impl Fn(&T) -> U + Sync,
 ) -> Vec<U> {
-    let ranges = chunk_ranges(input.len(), threads);
-    if ranges.len() <= 1 {
-        return input.iter().map(f).collect();
-    }
-    let mut parts: Vec<Vec<U>> = Vec::with_capacity(ranges.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(a, b)| {
-                let f = &f;
-                s.spawn(move || input[a..b].iter().map(f).collect::<Vec<U>>())
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("par_map worker panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(input.len());
-    for p in parts {
-        out.extend(p);
-    }
-    out
+    concat(run_chunks(input.len(), threads, |a, b| {
+        input[a..b].iter().map(&f).collect()
+    }))
 }
 
 /// Parallel initialization: build a `Vec` of `len` elements where element
@@ -52,94 +33,7 @@ pub fn par_map<T: Sync, U: Send>(
 /// preserved, so it is only valid where the paper's recommendation applies
 /// (index-determined values).
 pub fn par_for_init<U: Send>(len: usize, threads: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
-    let ranges = chunk_ranges(len, threads);
-    if ranges.len() <= 1 {
-        return (0..len).map(f).collect();
-    }
-    let mut parts: Vec<Vec<U>> = Vec::with_capacity(ranges.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(a, b)| {
-                let f = &f;
-                s.spawn(move || (a..b).map(f).collect::<Vec<U>>())
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("par_for_init worker panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(len);
-    for p in parts {
-        out.extend(p);
-    }
-    out
-}
-
-/// Parallel in-place fill: `out[i] = f(i)` for every index, chunked across
-/// `threads` workers. The in-place counterpart of [`par_for_init`] for
-/// pre-allocated arrays (the Mandelbrot row-initialization case).
-pub fn par_fill<T: Send + Sync>(out: &mut [T], threads: usize, f: impl Fn(usize) -> T + Sync) {
-    let len = out.len();
-    let ranges = chunk_ranges(len, threads);
-    if ranges.len() <= 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
-        }
-        return;
-    }
-    std::thread::scope(|s| {
-        let mut rest = out;
-        let mut offset = 0usize;
-        for &(a, b) in &ranges {
-            let (chunk, tail) = rest.split_at_mut(b - a);
-            rest = tail;
-            let f = &f;
-            let base = offset;
-            s.spawn(move || {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = f(base + i);
-                }
-            });
-            offset = b;
-        }
-    });
-}
-
-/// Parallel fold: combine per-chunk partial results with `merge`.
-///
-/// `f` maps one element to an accumulator contribution; `identity` seeds
-/// each chunk. Used by aggregate loops (the gpdotnet use-case-1 shape).
-pub fn par_fold<T: Sync, A: Send>(
-    input: &[T],
-    threads: usize,
-    identity: impl Fn() -> A + Sync,
-    f: impl Fn(A, &T) -> A + Sync,
-    mut merge: impl FnMut(A, A) -> A,
-) -> A {
-    let ranges = chunk_ranges(input.len(), threads);
-    if ranges.len() <= 1 {
-        return input.iter().fold(identity(), f);
-    }
-    let mut parts: Vec<A> = Vec::with_capacity(ranges.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(a, b)| {
-                let f = &f;
-                let identity = &identity;
-                s.spawn(move || input[a..b].iter().fold(identity(), f))
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("par_fold worker panicked"));
-        }
-    });
-    let mut acc = identity();
-    for p in parts {
-        acc = merge(acc, p);
-    }
-    acc
+    concat(run_chunks(len, threads, |a, b| (a..b).map(&f).collect()))
 }
 
 #[cfg(test)]
@@ -150,7 +44,7 @@ mod tests {
     fn par_map_matches_sequential() {
         let input: Vec<i64> = (0..10_000).collect();
         let seq: Vec<i64> = input.iter().map(|v| v * v).collect();
-        for threads in [1, 2, 3, 8] {
+        for threads in [0, 1, 2, 3, 8] {
             assert_eq!(par_map(&input, threads, |v| v * v), seq);
         }
     }
@@ -165,37 +59,10 @@ mod tests {
     #[test]
     fn par_for_init_matches_sequential() {
         let seq: Vec<usize> = (0..5000).map(|i| i * 3 + 1).collect();
-        for threads in [1, 4, 16] {
+        for threads in [0, 1, 4, 16] {
             assert_eq!(par_for_init(5000, threads, |i| i * 3 + 1), seq);
         }
-    }
-
-    #[test]
-    fn par_fill_matches_sequential() {
-        let mut a = vec![0u64; 4097];
-        par_fill(&mut a, 8, |i| (i as u64).wrapping_mul(2654435761));
-        for (i, v) in a.iter().enumerate() {
-            assert_eq!(*v, (i as u64).wrapping_mul(2654435761));
-        }
-    }
-
-    #[test]
-    fn par_fill_single_thread_and_empty() {
-        let mut a: Vec<i32> = vec![];
-        par_fill(&mut a, 8, |i| i as i32);
-        let mut b = vec![0; 3];
-        par_fill(&mut b, 1, |i| i as i32 + 1);
-        assert_eq!(b, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn par_fold_sums() {
-        let input: Vec<u64> = (1..=100_000).collect();
-        let expected: u64 = input.iter().sum();
-        for threads in [1, 2, 7, 8] {
-            let got = par_fold(&input, threads, || 0u64, |a, v| a + v, |a, b| a + b);
-            assert_eq!(got, expected);
-        }
+        assert!(par_for_init(0, 4, |i| i).is_empty());
     }
 
     #[test]

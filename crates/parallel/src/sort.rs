@@ -1,130 +1,32 @@
-//! Parallel merge sort — the Sort-After-Insert recommended action.
+//! Parallel sort — the Sort-After-Insert recommended action.
 //!
 //! When a sort follows a long insertion phase, insertion order is irrelevant
 //! (paper §III-B, SAI): the insert can be parallelized and the sort itself
-//! can run in parallel. This module provides a chunked merge sort: each
-//! worker sorts a contiguous chunk with the (pattern-defeating, O(n log n))
-//! std unstable sort, then chunks are merged pairwise in parallel rounds.
-
-use crate::chunk_ranges;
+//! can run in parallel. [`par_merge_sort`] splits the slice at its median
+//! with one linear selection pass, then sorts the two halves concurrently
+//! with the std unstable sort, recursing with half the thread budget each.
+//! Every element already sits on its final side of the split, so no merge
+//! step follows.
 
 /// Sort `data` ascending using up to `threads` workers.
 ///
 /// Produces exactly the same result as `data.sort_unstable()`; equal
 /// elements may be reordered (unstable), which matches the paper's setting
-/// where order after a bulk insert is explicitly irrelevant.
-pub fn par_merge_sort<T: Ord + Send + Clone>(data: &mut [T], threads: usize) {
-    par_merge_sort_by_key(data, threads, |v| v.clone());
-}
-
-/// Sort by a key function, ascending.
-pub fn par_merge_sort_by_key<T: Send, K: Ord>(
-    data: &mut [T],
-    threads: usize,
-    key: impl Fn(&T) -> K + Sync,
-) {
-    let len = data.len();
-    let ranges = chunk_ranges(len, threads);
-    if ranges.len() <= 1 {
-        data.sort_unstable_by_key(|a| key(a));
+/// where order after a bulk insert is explicitly irrelevant. The name is
+/// historical: the halves are separated by a median split, not merged.
+pub fn par_merge_sort<T: Ord + Send>(data: &mut [T], threads: usize) {
+    if threads <= 1 || data.len() < 2 {
+        data.sort_unstable();
         return;
     }
-
-    // Phase 1: sort each chunk in parallel.
+    let mid = data.len() / 2;
+    data.select_nth_unstable(mid);
+    let (low, high) = data.split_at_mut(mid);
+    let low_threads = threads / 2;
     std::thread::scope(|s| {
-        let mut rest = &mut *data;
-        for &(a, b) in &ranges {
-            let (chunk, tail) = rest.split_at_mut(b - a);
-            rest = tail;
-            let key = &key;
-            s.spawn(move || chunk.sort_unstable_by_key(|a| key(a)));
-        }
+        s.spawn(|| par_merge_sort(high, threads - low_threads));
+        par_merge_sort(low, low_threads);
     });
-
-    // Phase 2: merge sorted runs pairwise until one run remains. Each round
-    // merges adjacent run pairs concurrently.
-    let mut bounds: Vec<usize> = ranges.iter().map(|&(a, _)| a).collect();
-    bounds.push(len);
-    while bounds.len() > 2 {
-        let mut next_bounds = Vec::with_capacity(bounds.len() / 2 + 1);
-        std::thread::scope(|s| {
-            let mut rest = &mut *data;
-            let mut consumed = 0usize;
-            let mut i = 0;
-            while i + 1 < bounds.len() {
-                let lo = bounds[i];
-                let mid = bounds[i + 1];
-                let hi = if i + 2 < bounds.len() {
-                    bounds[i + 2]
-                } else {
-                    mid
-                };
-                let (region, tail) = rest.split_at_mut(hi - consumed);
-                rest = tail;
-                consumed = hi;
-                next_bounds.push(lo);
-                if hi > mid {
-                    let split = mid - lo;
-                    let key = &key;
-                    s.spawn(move || merge_in_place(region, split, key));
-                    i += 2;
-                } else {
-                    // Odd run out: carried to the next round unmerged.
-                    i += 1;
-                }
-            }
-        });
-        next_bounds.push(len);
-        bounds = next_bounds;
-    }
-}
-
-/// Merge the two sorted halves `[0, split)` and `[split, len)` of `region`.
-fn merge_in_place<T, K: Ord>(region: &mut [T], split: usize, key: &impl Fn(&T) -> K) {
-    // Out-of-place merge through an index permutation to avoid requiring
-    // T: Clone/Default. We compute the merged order of indices, then apply
-    // the permutation with swaps (cycle decomposition).
-    let len = region.len();
-    let mut order = Vec::with_capacity(len);
-    let (mut i, mut j) = (0usize, split);
-    while i < split && j < len {
-        if key(&region[i]) <= key(&region[j]) {
-            order.push(i);
-            i += 1;
-        } else {
-            order.push(j);
-            j += 1;
-        }
-    }
-    order.extend(i..split);
-    order.extend(j..len);
-
-    // Apply permutation: position p should receive element order[p].
-    let mut visited = vec![false; len];
-    for start in 0..len {
-        if visited[start] || order[start] == start {
-            visited[start] = true;
-            continue;
-        }
-        // Walk the cycle.
-        let mut pos = start;
-        loop {
-            visited[pos] = true;
-            let src = order[pos];
-            if src == start {
-                break;
-            }
-            region.swap(pos, src);
-            // After the swap, the element originally wanted from `src` now
-            // sits at `pos`... the standard trick: follow where the element
-            // that was at `pos` must go. We instead walk by repeatedly
-            // swapping `pos` with `order[pos]` until the cycle closes.
-            pos = src;
-            if visited[pos] {
-                break;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +47,7 @@ mod tests {
         let mut rng = xorshift(0x9E3779B97F4A7C15);
         for len in [0usize, 1, 2, 10, 1000, 4097, 65_536] {
             let data: Vec<u64> = (0..len).map(|_| rng() % 10_000).collect();
-            for threads in [1usize, 2, 3, 8] {
+            for threads in [0usize, 1, 2, 3, 8] {
                 let mut a = data.clone();
                 let mut b = data.clone();
                 par_merge_sort(&mut a, threads);
@@ -156,11 +58,13 @@ mod tests {
     }
 
     #[test]
-    fn sort_by_key_descending_trick() {
-        let mut data: Vec<i64> = (0..10_000).map(|i| (i * 31) % 1000).collect();
+    fn sorts_descending_through_reverse() {
+        let mut data: Vec<std::cmp::Reverse<i64>> = (0..10_000)
+            .map(|i| std::cmp::Reverse((i * 31) % 1000))
+            .collect();
         let mut expect = data.clone();
-        expect.sort_unstable_by_key(|v| std::cmp::Reverse(*v));
-        par_merge_sort_by_key(&mut data, 8, |v| std::cmp::Reverse(*v));
+        expect.sort_unstable();
+        par_merge_sort(&mut data, 8);
         assert_eq!(data, expect);
     }
 

@@ -48,7 +48,15 @@ proptest! {
     }
 
     #[test]
-    fn merge_sort_matches(input in proptest::collection::vec(any::<i32>(), 0..3000), threads in 1usize..9) {
+    fn merge_sort_matches(
+        // Either wide values, or few distinct values and often fewer
+        // elements than threads.
+        input in prop_oneof![
+            proptest::collection::vec(any::<i32>(), 0..3000),
+            proptest::collection::vec(0i32..4, 0..40),
+        ],
+        threads in 0usize..17,
+    ) {
         let mut seq = input.clone();
         seq.sort_unstable();
         let mut par = input;

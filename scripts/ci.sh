@@ -6,8 +6,10 @@
 #               must be identical at every analysis width — this varies how
 #               it is computed, never what comes out), then explicit
 #               --threads CLI runs, the live-scrape smoke
-#               (`telemetry serve --live --self-check`) and the follow
-#               smoke (`watch --follow`), then every Criterion bench once.
+#               (`telemetry serve --live --self-check`), the follow
+#               smoke (`watch --follow`), the flight-recorder/doctor
+#               smokes and `repro --speedups`, then every Criterion bench
+#               once.
 #   matrix      only the 2x3 debug/release x threads test matrix.
 #   bench-smoke only the Criterion benches, one pass each (`-- --test`).
 #
@@ -142,6 +144,19 @@ if [[ "$MODE" == "full" ]]; then
             grep -q "subscriber bomb" <<<"$out" || { echo "panicking subscriber not named"; exit 1; }
             echo "doctor reconstructed the injected incident (exit 1 as required)"
         ' doctor-incident "$SMOKE" "$FLIGHT"
+    # The §V recommended-action kernels: `repro --speedups` must exit 0 and
+    # print all four kernel lines. No timing threshold: speedups depend on
+    # the host's cores.
+    run_cell repro-speedups '"kind":"smoke",' \
+        bash -c '
+            set -uo pipefail
+            out="$(./target/release/repro --speedups --runs 3)" || exit 1
+            for kernel in "priority-queue linear max-search" "list initialization" \
+                "chunked parallel search" "sort after bulk insert"; do
+                grep -q "^$kernel" <<<"$out" || { echo "missing kernel line: $kernel"; exit 1; }
+            done
+            echo "repro --speedups printed all four kernel lines"
+        '
 fi
 
 if [[ "$MODE" == "full" || "$MODE" == "bench-smoke" ]]; then
