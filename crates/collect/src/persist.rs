@@ -5,23 +5,34 @@
 //! re-analysis with different thresholds, report diffing across refactors,
 //! and sharing profiles all need a durable form.
 //!
-//! Format (version-tagged):
+//! Format (version-tagged, little-endian):
 //!
 //! ```text
-//! magic   := "DSSPYCAP" version:u32(=1)
-//! header  := json(CaptureHeader) length-prefixed (u64 LE)
-//! bodies  := per instance: event batch (dsspy_events::encode)
-//!            length-prefixed (u64 LE), in header order
+//! file    := magic:"DSSPYCAP" version:u32 header body*
+//! header  := frame(json(CaptureHeader))
+//! body    := frame(event batch)          one per instance, in header order
+//! frame   := len:u64 sum:u64 bytes       (version 2, written)
+//!          | len:u64 bytes               (version 1, read-only)
 //! ```
 //!
 //! The header (instances, stats, session duration) is JSON for
-//! debuggability; the event bodies use the compact wire codec because they
-//! dominate the size.
+//! debuggability; the event bodies use the compact codec of
+//! `dsspy_events::encode` because they dominate the size — delta-varint
+//! batches in version 2, fixed-width ones in version 1. In version 2,
+//! `sum` is `dsspy_events::encode::checksum` of the frame's bytes, so a
+//! corrupted header or body is reported instead of decoded into plausible
+//! wrong events. The version field selects the decoder; nothing writes
+//! version 1 any more.
+//!
+//! The reader takes the rest of the stream into one buffer (it grows with
+//! the bytes that arrive, never with a length the file claims), frames the
+//! bodies as slices of it and decodes them in place. Bytes after the last
+//! body are an error.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use dsspy_events::encode::{decode_batch, encode_batch};
+use dsspy_events::encode::{checksum, decode_batch, decode_batch_v1, encode_batch};
 use dsspy_events::{InstanceInfo, RuntimeProfile};
 use dsspy_telemetry::{overhead::signals, Telemetry, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
@@ -29,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use crate::collector::{Capture, CollectorStats};
 
 const MAGIC: &[u8; 8] = b"DSSPYCAP";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// JSON header of a persisted capture.
 #[derive(Serialize, Deserialize)]
@@ -41,7 +52,7 @@ struct CaptureHeader {
     /// Collection-time telemetry (collector histograms, queue pressure,
     /// encode volume) recorded by an observed session — `None` for captures
     /// from unobserved sessions and for files written before this field
-    /// existed (`default` keeps version 1 readable both ways).
+    /// existed (`default` keeps older headers readable).
     #[serde(default)]
     telemetry: Option<TelemetrySnapshot>,
 }
@@ -106,7 +117,6 @@ pub fn write_capture_with(
     telemetry: &Telemetry,
 ) -> Result<(), PersistError> {
     let start_nanos = telemetry.now_nanos();
-    let mut written = 0u64;
     w.write_all(MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
     let header = CaptureHeader {
@@ -122,14 +132,14 @@ pub fn write_capture_with(
     };
     let header_json =
         serde_json::to_vec(&header).map_err(|e| PersistError::BadHeader(e.to_string()))?;
-    w.write_all(&(header_json.len() as u64).to_le_bytes())?;
-    w.write_all(&header_json)?;
-    written += 8 + 4 + 8 + header_json.len() as u64;
+    let mut written = (MAGIC.len() + 4) as u64;
+    written += write_frame(&mut w, &header_json)?;
+    // One buffer, reused for every body.
+    let mut body = Vec::new();
     for profile in &capture.profiles {
-        let body = encode_batch(&profile.events);
-        w.write_all(&(body.len() as u64).to_le_bytes())?;
-        w.write_all(&body)?;
-        written += 8 + body.len() as u64;
+        body.clear();
+        encode_batch(&profile.events, &mut body);
+        written += write_frame(&mut w, &body)?;
     }
     if telemetry.is_enabled() {
         telemetry.counter("persist.encode_bytes").add(written);
@@ -141,6 +151,14 @@ pub fn write_capture_with(
             .add(telemetry.now_nanos().saturating_sub(start_nanos));
     }
     Ok(())
+}
+
+/// Write one version-2 frame; returns the bytes written.
+fn write_frame(w: &mut impl Write, bytes: &[u8]) -> io::Result<u64> {
+    w.write_all(&(bytes.len() as u64).to_le_bytes())?;
+    w.write_all(&checksum(bytes).to_le_bytes())?;
+    w.write_all(bytes)?;
+    Ok(16 + bytes.len() as u64)
 }
 
 /// How [`read_capture_with`] / [`load_capture_with`] should behave.
@@ -172,9 +190,9 @@ pub fn read_capture(r: impl Read) -> Result<Capture, PersistError> {
 /// Deserialize a capture from a reader, optionally decoding event bodies in
 /// parallel and reporting into telemetry.
 ///
-/// I/O stays sequential (the format is a stream of length-prefixed bodies),
-/// but body decode — the CPU-bound part — fans out over `opts.threads`.
-/// Profiles come back in header order regardless of thread count.
+/// The stream is read once, to its end; body decode — the CPU-bound part —
+/// fans out over `opts.threads`. Profiles come back in header order
+/// regardless of thread count.
 pub fn read_capture_with(mut r: impl Read, opts: &ReadOptions) -> Result<Capture, PersistError> {
     let telemetry = &opts.telemetry;
     let start_nanos = telemetry.now_nanos();
@@ -186,61 +204,63 @@ pub fn read_capture_with(mut r: impl Read, opts: &ReadOptions) -> Result<Capture
     let mut v4 = [0u8; 4];
     r.read_exact(&mut v4)?;
     let version = u32::from_le_bytes(v4);
-    if version != VERSION {
+    if version != VERSION && version != 1 {
         return Err(PersistError::BadVersion(version));
     }
-    let mut len8 = [0u8; 8];
-    r.read_exact(&mut len8)?;
-    let header_len = u64::from_le_bytes(len8) as usize;
-    if header_len > 1 << 30 {
-        return Err(PersistError::BadHeader("implausible header size".into()));
-    }
-    // Read incrementally: a corrupted length prefix must not translate into
-    // a huge upfront allocation.
-    let mut header_json = Vec::new();
-    r.by_ref()
-        .take(header_len as u64)
-        .read_to_end(&mut header_json)?;
-    if header_json.len() != header_len {
-        return Err(PersistError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "truncated header",
-        )));
+    let mut data = Vec::new();
+    r.read_to_end(&mut data)?;
+    let mut frames = Frames {
+        data: &data,
+        checked: version == VERSION,
+    };
+
+    let (header_json, sum) = frames.next()?;
+    if sum.is_some_and(|sum| sum != checksum(header_json)) {
+        return Err(PersistError::BadHeader("checksum mismatch".into()));
     }
     let header: CaptureHeader =
-        serde_json::from_slice(&header_json).map_err(|e| PersistError::BadHeader(e.to_string()))?;
-
-    // Pass 1 (sequential): pull every length-prefixed body off the stream.
-    let mut total_bytes = 8 + 4 + 8 + header_len as u64;
+        serde_json::from_slice(header_json).map_err(|e| PersistError::BadHeader(e.to_string()))?;
+    if header.event_counts.len() != header.instances.len() {
+        return Err(PersistError::BadHeader(format!(
+            "{} event counts for {} instances",
+            header.event_counts.len(),
+            header.instances.len()
+        )));
+    }
     let mut bodies = Vec::with_capacity(header.instances.len());
-    for (info, expect) in header.instances.into_iter().zip(header.event_counts) {
-        r.read_exact(&mut len8)?;
-        let body_len = u64::from_le_bytes(len8) as usize;
-        let mut body = Vec::new();
-        r.by_ref().take(body_len as u64).read_to_end(&mut body)?;
-        if body.len() != body_len {
-            return Err(PersistError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "truncated event body",
-            )));
-        }
-        total_bytes += 8 + body_len as u64;
-        bodies.push((info, expect, body));
+    for (info, &expect) in header.instances.iter().zip(&header.event_counts) {
+        let (body, sum) = frames.next()?;
+        bodies.push((info, expect, body, sum));
+    }
+    if !frames.data.is_empty() {
+        return Err(PersistError::BadBody(format!(
+            "{} bytes after the last body",
+            frames.data.len()
+        )));
     }
 
-    // Pass 2 (parallel): decode the bodies, preserving header order. Each
-    // body's decode time lands in a histogram so skewed instances show up.
+    // Decode the bodies in place, preserving header order. Each body's
+    // decode time lands in a histogram so skewed instances show up.
     let body_decode = telemetry.histogram("persist.body_decode_nanos");
-    let decode_one = |(info, expect, body): &(InstanceInfo, u64, Vec<u8>)| {
+    let decode = if version == VERSION {
+        decode_batch
+    } else {
+        decode_batch_v1
+    };
+    let bad_body = |info: &InstanceInfo, e: &dyn std::fmt::Display| {
+        PersistError::BadBody(format!("instance {}: {e}", info.id))
+    };
+    let decode_one = |&(info, expect, body, sum): &(&InstanceInfo, u64, &[u8], Option<u64>)| {
         let body_start = telemetry.now_nanos();
-        let events =
-            decode_batch(body.clone().into()).map_err(|e| PersistError::BadBody(e.to_string()))?;
-        if events.len() as u64 != *expect {
-            return Err(PersistError::BadBody(format!(
-                "instance {} expected {expect} events, body has {}",
-                info.id,
-                events.len()
-            )));
+        if sum.is_some_and(|sum| sum != checksum(body)) {
+            return Err(bad_body(info, &"checksum mismatch"));
+        }
+        let events = decode(body).map_err(|e| bad_body(info, &e))?;
+        if events.len() as u64 != expect {
+            return Err(bad_body(
+                info,
+                &format!("expected {expect} events, body has {}", events.len()),
+            ));
         }
         if telemetry.is_enabled() {
             body_decode.record(telemetry.now_nanos().saturating_sub(body_start));
@@ -257,7 +277,9 @@ pub fn read_capture_with(mut r: impl Read, opts: &ReadOptions) -> Result<Capture
         .collect::<Result<_, _>>()?;
 
     if telemetry.is_enabled() {
-        telemetry.counter("persist.decode_bytes").add(total_bytes);
+        telemetry
+            .counter("persist.decode_bytes")
+            .add((MAGIC.len() + 4 + data.len()) as u64);
         telemetry
             .counter("persist.bodies_decoded")
             .add(profiles.len() as u64);
@@ -268,6 +290,44 @@ pub fn read_capture_with(mut r: impl Read, opts: &ReadOptions) -> Result<Capture
     let mut capture = Capture::new(profiles, header.stats, header.session_nanos);
     capture.collection_telemetry = header.telemetry;
     Ok(capture)
+}
+
+/// The length-prefixed frames still unread in a capture's bytes.
+struct Frames<'a> {
+    data: &'a [u8],
+    /// Whether each frame carries a checksum (version 2).
+    checked: bool,
+}
+
+impl<'a> Frames<'a> {
+    /// The next frame's bytes and, in version 2, its stored checksum.
+    fn next(&mut self) -> Result<(&'a [u8], Option<u64>), PersistError> {
+        let len = self.u64()?;
+        let sum = if self.checked {
+            Some(self.u64()?)
+        } else {
+            None
+        };
+        if len > self.data.len() as u64 {
+            return Err(truncated());
+        }
+        let (bytes, rest) = self.data.split_at(len as usize);
+        self.data = rest;
+        Ok((bytes, sum))
+    }
+
+    fn u64(&mut self) -> Result<u64, PersistError> {
+        let (word, rest) = self.data.split_first_chunk::<8>().ok_or_else(truncated)?;
+        self.data = rest;
+        Ok(u64::from_le_bytes(*word))
+    }
+}
+
+fn truncated() -> PersistError {
+    PersistError::Io(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "truncated capture",
+    ))
 }
 
 /// Save a capture to a file.
@@ -296,8 +356,8 @@ pub fn load_capture_with(
     path: impl AsRef<Path>,
     opts: &ReadOptions,
 ) -> Result<Capture, PersistError> {
-    let file = std::fs::File::open(path)?;
-    read_capture_with(io::BufReader::new(file), opts)
+    // Unbuffered: the reader takes the whole file in one read to its end.
+    read_capture_with(std::fs::File::open(path)?, opts)
 }
 
 #[cfg(test)]
@@ -379,8 +439,9 @@ mod tests {
         let mut buf = Vec::new();
         write_capture(&capture, &mut buf).unwrap();
         // Flip a byte inside the JSON header region.
-        buf[24] ^= 0xFF;
-        assert!(read_capture(buf.as_slice()).is_err());
+        buf[32] ^= 0xFF;
+        let err = read_capture(buf.as_slice()).unwrap_err();
+        assert!(matches!(err, PersistError::BadHeader(_)), "{err}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Property tests: the wire encoding is a lossless bijection on events.
+//! Property tests: the event codec is a lossless bijection on events, and
+//! malformed bytes are errors, never panics or oversized allocations.
 
-use bytes::BytesMut;
-use dsspy_events::encode::{decode_batch, decode_event, encode_batch, encode_event};
+use dsspy_events::encode::{decode_batch, decode_batch_v1, encode_batch, MIN_EVENT_BYTES};
 use dsspy_events::{AccessEvent, AccessKind, Target, ThreadTag};
 use proptest::prelude::*;
 
@@ -40,30 +40,37 @@ fn arb_event() -> impl Strategy<Value = AccessEvent> {
         })
 }
 
+fn encoded(events: &[AccessEvent]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_batch(events, &mut buf);
+    buf
+}
+
 proptest! {
     #[test]
     fn event_roundtrip(e in arb_event()) {
-        let mut buf = BytesMut::new();
-        encode_event(&e, &mut buf);
-        let mut bytes = buf.freeze();
-        let back = decode_event(&mut bytes).unwrap();
-        prop_assert_eq!(back, e);
-        prop_assert_eq!(bytes.len(), 0);
+        let bytes = encoded(&[e]);
+        prop_assert_eq!(decode_batch(&bytes).unwrap(), vec![e]);
     }
 
     #[test]
     fn batch_roundtrip(events in proptest::collection::vec(arb_event(), 0..200)) {
-        let encoded = encode_batch(&events);
-        let back = decode_batch(encoded).unwrap();
-        prop_assert_eq!(back, events);
+        let bytes = encoded(&events);
+        prop_assert!(bytes.len() > events.len() * MIN_EVENT_BYTES);
+        prop_assert_eq!(decode_batch(&bytes).unwrap(), events);
     }
 
     #[test]
-    fn truncation_never_panics(events in proptest::collection::vec(arb_event(), 1..20), cut_frac in 0.0f64..1.0) {
-        let encoded = encode_batch(&events);
-        let cut = ((encoded.len() as f64) * cut_frac) as usize;
-        let sliced = encoded.slice(0..cut);
-        // Either decodes a (possibly different-length) prefix or errors; never panics.
-        let _ = decode_batch(sliced);
+    fn truncation_is_an_error(events in proptest::collection::vec(arb_event(), 1..20), cut_frac in 0.0f64..1.0) {
+        let bytes = encoded(&events);
+        let cut = ((bytes.len() as f64) * cut_frac) as usize;
+        prop_assert!(decode_batch(&bytes[..cut]).is_err());
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+        // Error or some events — never a panic, in either version.
+        let _ = decode_batch(&bytes);
+        let _ = decode_batch_v1(&bytes);
     }
 }

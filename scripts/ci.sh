@@ -8,8 +8,9 @@
 #               --threads CLI runs, the live-scrape smoke
 #               (`telemetry serve --live --self-check`), the follow
 #               smoke (`watch --follow`), the flight-recorder/doctor
-#               smokes and `repro --speedups`, then every Criterion bench
-#               once.
+#               smokes, `repro --speedups` and the version-1 capture
+#               smoke (`dsspy analyze` on the committed v1 fixture), then
+#               every Criterion bench once.
 #   matrix      only the 2x3 debug/release x threads test matrix.
 #   bench-smoke only the Criterion benches, one pass each (`-- --test`).
 #
@@ -156,6 +157,15 @@ if [[ "$MODE" == "full" ]]; then
                 grep -q "^$kernel" <<<"$out" || { echo "missing kernel line: $kernel"; exit 1; }
             done
             echo "repro --speedups printed all four kernel lines"
+        '
+    # Captures already on disk stay readable: `dsspy analyze` on the
+    # committed version-1 fixture must exit 0 and report its 3 instances.
+    run_cell capture-v1-compat '"kind":"smoke",' \
+        bash -c '
+            set -uo pipefail
+            out="$(./target/release/dsspy analyze crates/collect/tests/fixtures/capture_v1.dsspycap)" || exit 1
+            grep -q "^3 data structure instances," <<<"$out" || { echo "want 3 instances, got: $(head -n 1 <<<"$out")"; exit 1; }
+            echo "the version-1 fixture analyzes to 3 instances"
         '
 fi
 
