@@ -1,8 +1,9 @@
 //! # dsspy-bench — regenerating every table and figure of the paper
 //!
 //! One function per experiment artifact; the `repro` binary is a thin CLI
-//! over them, and the Criterion benches measure the quantities behind the
-//! numbers (profiling slowdown, mining throughput, parallel-op speedups).
+//! over them. Performance (profiling slowdown, per-layer cost, the
+//! recommended-action speedups) is measured by the layer benchmark in
+//! `layerbench/`, not here.
 //!
 //! | Paper artifact | Function |
 //! |---|---|

@@ -778,10 +778,7 @@ pub fn cmd_telemetry_serve_live(
 
     let source = load_capture(path)?;
     let dsspy = Dsspy {
-        session: SessionConfig {
-            batch_size: 64,
-            channel_capacity: None,
-        },
+        session: SessionConfig { batch_size: 64 },
         ..Dsspy::new()
     }
     .with_threads(threads);
@@ -937,7 +934,6 @@ pub fn cmd_watch_follow(
     let dsspy = Dsspy {
         session: SessionConfig {
             batch_size: batch.max(1),
-            channel_capacity: None,
         },
         ..Dsspy::new()
     }
@@ -1084,10 +1080,7 @@ pub fn cmd_doctor(
             let telemetry = Telemetry::enabled();
             let flight = FlightRecorder::with_telemetry(FlightConfig::default(), &telemetry);
             let dsspy = Dsspy {
-                session: SessionConfig {
-                    batch_size: 64,
-                    channel_capacity: None,
-                },
+                session: SessionConfig { batch_size: 64 },
                 ..Dsspy::new()
             }
             .with_threads(1);

@@ -36,10 +36,7 @@ fn demo_capture(name: &str) -> PathBuf {
 #[test]
 fn every_scrape_racing_a_batch_flush_validates() {
     let dsspy = Dsspy {
-        session: SessionConfig {
-            batch_size: 32,
-            channel_capacity: None,
-        },
+        session: SessionConfig { batch_size: 32 },
         ..Dsspy::new()
     }
     .with_threads(1);

@@ -8,6 +8,7 @@
 //! shared log under a lock.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
 
 use crossbeam::channel::Receiver;
@@ -16,6 +17,8 @@ use dsspy_telemetry::{
     overhead::signals, FlightEventKind, FlightRecorder, IncidentTrigger, Telemetry, TraceContext,
 };
 use serde::{Deserialize, Serialize};
+
+use crate::fanout::panic_payload;
 
 /// Messages from instrumented code to the collector thread.
 pub(crate) enum Msg {
@@ -45,6 +48,10 @@ pub(crate) enum Msg {
 /// Implementations should be quick: time spent in the tap is collector busy
 /// time and is attributed to `collector.batch_handle_nanos` when telemetry
 /// is enabled.
+///
+/// A tap that panics is dropped for the rest of the session and the panic
+/// becomes a `subscriber-panic` incident on the session's flight recorder;
+/// the collector keeps storing batches, so the capture stays complete.
 pub trait CollectorTap: Send {
     /// One stored batch: its causal coordinates (`ctx.batch_seq` is the
     /// 1-based arrival ordinal on this collector thread), the instance it
@@ -175,9 +182,9 @@ pub(crate) fn spawn(
                                 }
                             }
                         }
-                        if let Some(tap) = tap.as_deref_mut() {
-                            tap.on_batch(ctx, id, &batch, depth);
-                        }
+                        deliver(&mut tap, &flight, ctx, |tap| {
+                            tap.on_batch(ctx, id, &batch, depth)
+                        });
                         stats.events += batch.len() as u64;
                         stats.batches += 1;
                         map.entry(id).or_default().extend(batch);
@@ -213,9 +220,9 @@ pub(crate) fn spawn(
                     },
                 );
             }
-            if let Some(tap) = tap.as_deref_mut() {
-                tap.on_stop(stop_ctx, &stats, session_nanos);
-            }
+            deliver(&mut tap, &flight, stop_ctx, |tap| {
+                tap.on_stop(stop_ctx, &stats, session_nanos)
+            });
             if flight.is_enabled() {
                 flight.record(
                     stop_ctx,
@@ -235,6 +242,30 @@ pub(crate) fn spawn(
             (map, stats)
         })
         .expect("failed to spawn dsspy collector thread")
+}
+
+/// Run one tap callback on the collector thread, isolating a panic: the tap
+/// is dropped (its state can no longer be trusted) and the panic is raised
+/// as an incident, so a broken tap never takes the collector down with it.
+fn deliver(
+    tap: &mut Option<Box<dyn CollectorTap>>,
+    flight: &FlightRecorder,
+    ctx: TraceContext,
+    call: impl FnOnce(&mut dyn CollectorTap),
+) {
+    let Some(live) = tap.as_deref_mut() else {
+        return;
+    };
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| call(live))) {
+        *tap = None;
+        flight.incident(
+            ctx,
+            None,
+            IncidentTrigger::SubscriberPanic {
+                payload: panic_payload(payload.as_ref()),
+            },
+        );
+    }
 }
 
 /// The result of a finished profiling session: one [`RuntimeProfile`] per

@@ -223,7 +223,7 @@ impl TapFanout {
 
 /// Extract a human-readable message from a panic payload (the `&str` /
 /// `String` shapes `panic!` produces; anything else is opaque).
-fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -277,6 +277,8 @@ struct RecorderState {
     /// the ordering evidence the fanout tests assert on.
     batch_log: Vec<(InstanceId, usize)>,
     finished: Option<(CollectorStats, u64)>,
+    /// Set once [`CaptureRecorder::capture`] has moved the events out.
+    captured: bool,
 }
 
 /// A tap subscriber that mirrors the capture: it accumulates every
@@ -324,21 +326,17 @@ impl CaptureRecorder {
 
     /// Rebuild the capture from everything recorded, pairing the events
     /// with `instances` (registration order — e.g. a registry snapshot, or
-    /// the profiles of the session's own capture). `None` until the session
-    /// stopped.
+    /// the profiles of the session's own capture). The events move into the
+    /// returned capture, so it can be taken once: `None` until the session
+    /// stopped, and `None` again after the first capture.
     pub fn capture(&self, instances: Vec<InstanceInfo>) -> Option<Capture> {
         let mut state = self.shared.lock();
         let (stats, session_nanos) = state.finished?;
+        if std::mem::replace(&mut state.captured, true) {
+            return None;
+        }
         let events = std::mem::take(&mut state.events);
-        let capture = Capture::assemble(instances, events, stats, session_nanos);
-        // Put the map back so `capture` can be called again.
-        state.events = capture
-            .profiles
-            .iter()
-            .filter(|p| !p.is_empty())
-            .map(|p| (p.instance.id, p.events.clone()))
-            .collect();
-        Some(capture)
+        Some(Capture::assemble(instances, events, stats, session_nanos))
     }
 }
 
@@ -540,12 +538,8 @@ mod tests {
         assert_eq!(capture.event_count(), 5);
         assert_eq!(capture.stats, stats);
         assert_eq!(capture.session_nanos, 77);
-        // Calling again yields the same capture (state is preserved).
-        let again = recorder.capture(infos).expect("still stopped");
-        assert_eq!(
-            serde_json::to_string(&again.profiles).unwrap(),
-            serde_json::to_string(&capture.profiles).unwrap()
-        );
+        // The events moved into the first capture; there is no second.
+        assert!(recorder.capture(infos).is_none(), "already taken");
     }
 
     #[test]

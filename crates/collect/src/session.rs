@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, unbounded, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use dsspy_events::{AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, Origin, Target};
 use dsspy_telemetry::{
     next_session_id, FlightRecorder, Gauge, IncidentTrigger, Telemetry, TraceContext,
@@ -22,24 +22,21 @@ use crate::collector::{spawn, Capture, CollectorStats, CollectorTap, Msg};
 use crate::registry::Registry;
 
 /// Tunables for a profiling session.
+///
+/// The collector channel itself is always unbounded: the paper's design
+/// goal is to never hit a log-size ceiling, and a bounded channel would
+/// instead block the profiled program while the collector lags.
 #[derive(Clone, Copy, Debug)]
 pub struct SessionConfig {
     /// Events buffered inside each handle before a batch is shipped to the
     /// collector thread. Larger batches amortize channel traffic; smaller
     /// batches bound the events lost if a structure leaks past shutdown.
     pub batch_size: usize,
-    /// Optional bound on the collector channel. `None` (the default) mirrors
-    /// the paper's design goal of never hitting a log-size ceiling; `Some(n)`
-    /// applies backpressure to the profiled code instead.
-    pub channel_capacity: Option<usize>,
 }
 
 impl Default for SessionConfig {
     fn default() -> Self {
-        SessionConfig {
-            batch_size: 1024,
-            channel_capacity: None,
-        }
+        SessionConfig { batch_size: 1024 }
     }
 }
 
@@ -124,10 +121,7 @@ impl Session {
         flight: FlightRecorder,
         tap: Option<Box<dyn CollectorTap>>,
     ) -> Session {
-        let (tx, rx) = match config.channel_capacity {
-            Some(n) => bounded(n),
-            None => unbounded(),
-        };
+        let (tx, rx) = unbounded();
         let session_id = next_session_id();
         let join = spawn(rx, telemetry.clone(), flight.clone(), session_id, tap);
         let queue_depth = telemetry.gauge("collector.queue_depth");
@@ -442,10 +436,7 @@ mod tests {
 
     #[test]
     fn small_batches_flush_incrementally() {
-        let session = Session::with_config(SessionConfig {
-            batch_size: 4,
-            channel_capacity: None,
-        });
+        let session = Session::with_config(SessionConfig { batch_size: 4 });
         let mut h = session.register(site(1), DsKind::List, "i32");
         for i in 0..10u32 {
             h.record(AccessKind::Insert, Target::Index(i), i + 1);
@@ -541,21 +532,5 @@ mod tests {
         assert_eq!(p.threads().len(), 3);
         // Global order restored by profile assembly.
         assert!(p.events.windows(2).all(|w| w[0].seq < w[1].seq));
-    }
-
-    #[test]
-    fn bounded_channel_applies_backpressure_without_loss() {
-        let session = Session::with_config(SessionConfig {
-            batch_size: 1,
-            channel_capacity: Some(2),
-        });
-        let mut h = session.register(site(1), DsKind::List, "i32");
-        for i in 0..1000u32 {
-            h.record(AccessKind::Insert, Target::Index(i), i + 1);
-        }
-        drop(h);
-        let cap = session.finish();
-        assert_eq!(cap.event_count(), 1000);
-        assert_eq!(cap.stats.dropped, 0);
     }
 }

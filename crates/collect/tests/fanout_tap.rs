@@ -1,13 +1,14 @@
 //! Fan-out tap against a real live session: every subscriber observes
 //! exactly the stored batch stream, a [`CaptureRecorder`] rebuilds the
 //! session's capture byte-for-byte, and a panicking subscriber poisons
-//! neither the collector thread nor its peers.
+//! neither the collector thread nor its peers — whether it sits behind a
+//! fanout or is the session's only tap.
 
 use dsspy_collect::{
     CaptureRecorder, CollectorStats, CollectorTap, Session, SessionConfig, TapFanout,
 };
 use dsspy_events::{AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, Target};
-use dsspy_telemetry::{Telemetry, TraceContext};
+use dsspy_telemetry::{FlightConfig, FlightRecorder, IncidentTrigger, Telemetry, TraceContext};
 
 fn site(line: u32) -> AllocationSite {
     AllocationSite::new("FanoutIt", "live", line)
@@ -32,10 +33,7 @@ fn three_recorders_rebuild_identical_captures() {
         fanout.subscribe(&format!("rec{i}"), r.tap());
     }
     let session = Session::with_tap(
-        SessionConfig {
-            batch_size: 64,
-            channel_capacity: None,
-        },
+        SessionConfig { batch_size: 64 },
         Telemetry::disabled(),
         Box::new(fanout),
     );
@@ -111,10 +109,7 @@ fn subscriber_panic_on_collector_thread_does_not_poison_the_session() {
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let session = Session::with_tap(
-        SessionConfig {
-            batch_size: 16,
-            channel_capacity: None,
-        },
+        SessionConfig { batch_size: 16 },
         Telemetry::disabled(),
         Box::new(fanout),
     );
@@ -148,5 +143,39 @@ fn subscriber_panic_on_collector_thread_does_not_poison_the_session() {
     assert_eq!(
         snap.counter("stream.tap.survivor.batches"),
         Some(capture.stats.batches)
+    );
+}
+
+#[test]
+fn panicking_bare_tap_is_dropped_and_the_capture_stays_complete() {
+    let flight = FlightRecorder::new(FlightConfig::default());
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let session = Session::builder()
+        .config(SessionConfig { batch_size: 64 })
+        .flight(flight.clone())
+        .tap(Box::new(Bomb {
+            seen: 0,
+            panic_on: 1,
+        }))
+        .start();
+    {
+        let mut h = session.register(site(3), DsKind::List, "i32");
+        for i in 0..5_000u32 {
+            h.record(AccessKind::Insert, Target::Index(i), i + 1);
+        }
+    }
+    let capture = session.finish();
+    std::panic::set_hook(hook);
+
+    assert_eq!(capture.event_count(), 5_000);
+    assert_eq!(capture.stats.events, 5_000);
+    assert_eq!(capture.stats.dropped, 0);
+    let dump = flight.dump();
+    assert_eq!(dump.incidents.len(), 1, "one panic, one incident");
+    assert!(
+        matches!(&dump.incidents[0].trigger, IncidentTrigger::SubscriberPanic { payload } if payload == "bomb"),
+        "the panic is raised as an incident: {:?}",
+        dump.incidents[0].trigger
     );
 }

@@ -16,13 +16,7 @@ fn site(line: u32) -> AllocationSite {
 #[test]
 fn queue_depth_gauge_drains_to_zero_after_stop() {
     let telemetry = Telemetry::enabled();
-    let session = Session::with_telemetry(
-        SessionConfig {
-            batch_size: 8,
-            channel_capacity: None,
-        },
-        telemetry.clone(),
-    );
+    let session = Session::with_telemetry(SessionConfig { batch_size: 8 }, telemetry.clone());
     let mut handles: Vec<_> = (0..4)
         .map(|t| session.register(site(t), DsKind::List, "i32"))
         .collect();

@@ -184,11 +184,6 @@ impl<T> SpyArray<T> {
         &self.data
     }
 
-    /// Direct mutable view. **No events.**
-    pub fn raw_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Ship buffered events to the collector now.
     pub fn flush(&self) {
         self.rec.borrow_mut().flush();

@@ -90,14 +90,6 @@ impl<T> SpyVec<T> {
         }
     }
 
-    /// Ghost-mode list with pre-allocated capacity.
-    pub fn plain_with_capacity(capacity: usize) -> Self {
-        SpyVec {
-            data: Vec::with_capacity(capacity),
-            rec: RefCell::new(Recorder::Off),
-        }
-    }
-
     /// The instance id, if instrumented.
     pub fn instance_id(&self) -> Option<InstanceId> {
         self.rec.borrow().id()
@@ -414,11 +406,6 @@ impl<T> SpyVec<T> {
     /// parallel kernels after profiling decisions are made.
     pub fn raw(&self) -> &[T] {
         &self.data
-    }
-
-    /// Direct mutable view of the backing storage. **No events.**
-    pub fn raw_mut(&mut self) -> &mut Vec<T> {
-        &mut self.data
     }
 
     /// Ship any buffered events to the collector now.

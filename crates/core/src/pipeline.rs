@@ -86,12 +86,6 @@ impl Dsspy {
         self
     }
 
-    /// Replace the miner configuration.
-    pub fn with_miner(mut self, miner: MinerConfig) -> Dsspy {
-        self.analysis.miner = miner;
-        self
-    }
-
     /// Enable selective-profiler mode: only manually instrumented instances
     /// are analyzed and reported (§IV).
     pub fn selective(mut self) -> Dsspy {

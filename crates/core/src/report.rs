@@ -30,11 +30,6 @@ impl InstanceReport {
     pub fn is_flagged(&self) -> bool {
         !self.use_cases.is_empty()
     }
-
-    /// Whether any detected use case carries parallel potential.
-    pub fn has_parallel_potential(&self) -> bool {
-        self.use_cases.iter().any(|u| u.kind.is_parallel())
-    }
 }
 
 /// Wall-clock cost of analyzing one instance, split into the two analysis
@@ -181,15 +176,6 @@ impl Report {
             .iter()
             .flat_map(|i| i.advisories.iter().map(move |a| (i, a)))
             .collect()
-    }
-
-    /// Instances whose profiles contain recurring regularities (the Table II
-    /// numerator).
-    pub fn regular_instance_count(&self) -> usize {
-        self.instances
-            .iter()
-            .filter(|i| i.regularity.is_regular())
-            .count()
     }
 
     /// Render the Table-V-style use-case listing:

@@ -22,7 +22,7 @@
 //! contiguous chunks, each on a scoped thread (one chunk runs inline),
 //! results in chunk order, and a worker's panic re-raised in the caller.
 //!
-//! All entry points take an explicit thread count so benches can sweep it;
+//! All entry points take an explicit thread count so callers can sweep it;
 //! [`default_threads`] mirrors the machine's available parallelism (the
 //! paper used an 8-core AMD FX 8120).
 

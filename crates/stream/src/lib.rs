@@ -759,10 +759,7 @@ mod tests {
         let telemetry = Telemetry::enabled();
         let sampler = TelemetrySampler::new(&telemetry);
         let session = Session::with_tap(
-            SessionConfig {
-                batch_size: 32,
-                channel_capacity: None,
-            },
+            SessionConfig { batch_size: 32 },
             Telemetry::disabled(),
             sampler.tap(),
         );
@@ -1024,30 +1021,5 @@ mod tests {
                 serde_json::to_string(&p.analysis.metrics).unwrap()
             );
         }
-    }
-
-    #[test]
-    fn bounded_channel_session_with_tap_loses_nothing() {
-        let dsspy = Dsspy {
-            session: SessionConfig {
-                batch_size: 8,
-                channel_capacity: Some(4),
-            },
-            ..Dsspy::new()
-        };
-        let streaming = StreamingAnalyzer::new(dsspy.with_threads(1), StreamConfig::default());
-        let session = streaming.attach();
-        {
-            let mut v = SpyVec::register(&session, site!("pressured"));
-            for i in 0..5_000 {
-                v.add(i);
-            }
-        }
-        let capture = session.finish();
-        assert_eq!(capture.stats.dropped, 0);
-        let live = streaming.latest_report().unwrap();
-        assert_eq!(live.instances[0].events as u64, capture.stats.events);
-        let post = dsspy.with_threads(1).analyze_capture(&capture);
-        assert_eq!(instances_json(&live), instances_json(&post));
     }
 }

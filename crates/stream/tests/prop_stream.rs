@@ -205,7 +205,7 @@ proptest! {
         batch_size in 1usize..64,
     ) {
         let dsspy = Dsspy {
-            session: SessionConfig { batch_size, channel_capacity: None },
+            session: SessionConfig { batch_size },
             ..Dsspy::new()
         }
         .with_threads(1);
@@ -236,7 +236,7 @@ proptest! {
         subscribers in 1usize..5,
     ) {
         let dsspy = Dsspy {
-            session: SessionConfig { batch_size, channel_capacity: None },
+            session: SessionConfig { batch_size },
             ..Dsspy::new()
         }
         .with_threads(1);

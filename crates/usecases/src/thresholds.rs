@@ -2,7 +2,7 @@
 //!
 //! Defaults are the paper's §III-B values, which the authors tuned on their
 //! 23-program evaluation set "to yield the best detection quality". All of
-//! them are plain data so studies can sweep them (the ablation benches do).
+//! them are plain data so studies can sweep them (`repro --ablation` does).
 
 use serde::{Deserialize, Serialize};
 

@@ -88,22 +88,6 @@ impl TraceBuilder {
         self
     }
 
-    /// One full backward scan.
-    pub fn scan_backward(&mut self, cost: u64) -> &mut Self {
-        for i in (0..self.len).rev() {
-            self.push(AccessKind::Read, Target::Index(i), cost);
-        }
-        self
-    }
-
-    /// A partial forward scan over the first `n` elements.
-    pub fn scan_prefix(&mut self, n: u32, cost: u64) -> &mut Self {
-        for i in 0..n.min(self.len) {
-            self.push(AccessKind::Read, Target::Index(i), cost);
-        }
-        self
-    }
-
     /// `n` single reads at pseudo-random (stride-scattered) positions —
     /// deliberately pattern-free noise.
     pub fn random_reads(&mut self, n: u32, cost: u64) -> &mut Self {
@@ -121,14 +105,6 @@ impl TraceBuilder {
             }
             self.push(AccessKind::Read, Target::Index(idx), cost);
             last = idx;
-        }
-        self
-    }
-
-    /// Forward in-place overwrite of every element (Write-Forward).
-    pub fn overwrite_forward(&mut self, cost: u64) -> &mut Self {
-        for i in 0..self.len {
-            self.push(AccessKind::Write, Target::Index(i), cost);
         }
         self
     }

@@ -10,15 +10,15 @@
 #               smoke (`watch --follow`), the flight-recorder/doctor
 #               smokes, `repro --speedups` and the version-1 capture
 #               smoke (`dsspy analyze` on the committed v1 fixture), then
-#               every Criterion bench once.
+#               the layer benchmark's own tests (every workload at its test
+#               scale, with the benchmark's output checks).
 #   matrix      only the 2x3 debug/release x threads test matrix.
-#   bench-smoke only the Criterion benches, one pass each (`-- --test`).
 #
 # Everything runs against the vendored in-tree dependencies; no network.
 # A machine-readable summary (schema: DESIGN.md, "ci-summary.json") is
 # written to --out; the exit code is 0 iff every cell passed.
 #
-#   scripts/ci.sh [--mode full|matrix|bench-smoke] [--out PATH]
+#   scripts/ci.sh [--mode full|matrix] [--out PATH]
 set -uo pipefail # deliberately not -e: later cells still run after a failure
 cd "$(dirname "$0")/.."
 
@@ -35,12 +35,12 @@ while [[ $# -gt 0 ]]; do
         shift 2
         ;;
     *)
-        echo "usage: scripts/ci.sh [--mode full|matrix|bench-smoke] [--out PATH]" >&2
+        echo "usage: scripts/ci.sh [--mode full|matrix] [--out PATH]" >&2
         exit 2
         ;;
     esac
 done
-case "$MODE" in full | matrix | bench-smoke) ;; *)
+case "$MODE" in full | matrix) ;; *)
     echo "ci: unknown mode '$MODE'" >&2
     exit 2
     ;;
@@ -88,15 +88,17 @@ fi
 if [[ "$MODE" == "full" || "$MODE" == "matrix" ]]; then
     # The library-level matrix: DSSPY_TEST_THREADS pins every default-width
     # analysis in the suite to N workers (crates/core resolved_threads).
+    # --workspace: a bare `cargo test` at the root runs only the root
+    # package's tests, not the crates' own.
     for profile in debug release; do
         for t in 1 2 4; do
             extra="$(printf '"kind":"test","profile":"%s","threads":%s,' "$profile" "$t")"
             if [[ "$profile" == release ]]; then
                 run_cell "test-$profile-threads$t" "$extra" \
-                    env DSSPY_TEST_THREADS="$t" cargo test -q --release
+                    env DSSPY_TEST_THREADS="$t" cargo test -q --release --workspace
             else
                 run_cell "test-$profile-threads$t" "$extra" \
-                    env DSSPY_TEST_THREADS="$t" cargo test -q
+                    env DSSPY_TEST_THREADS="$t" cargo test -q --workspace
             fi
         done
     done
@@ -167,16 +169,12 @@ if [[ "$MODE" == "full" ]]; then
             grep -q "^3 data structure instances," <<<"$out" || { echo "want 3 instances, got: $(head -n 1 <<<"$out")"; exit 1; }
             echo "the version-1 fixture analyzes to 3 instances"
         '
-fi
-
-if [[ "$MODE" == "full" || "$MODE" == "bench-smoke" ]]; then
-    # One correctness pass over every Criterion bench (no timing window).
-    benches="$(grep -A1 '^\[\[bench\]\]' crates/bench/Cargo.toml |
-        sed -n 's/^name = "\(.*\)"/\1/p')"
-    for bench in $benches; do
-        run_cell "bench-smoke-$bench" '"kind":"bench",' \
-            cargo bench -p dsspy-bench --bench "$bench" -- --test
-    done
+    # The layer benchmark (a package of its own, built from these crates'
+    # sources) runs every workload at its test scale and fails on any
+    # output check, so a change that breaks what the benchmark measures
+    # fails here rather than in the benchmark run.
+    run_cell layerbench-smoke '"kind":"smoke",' \
+        cargo test --release --offline --manifest-path layerbench/Cargo.toml
 fi
 
 FINISHED="$(date +%s)"

@@ -156,10 +156,7 @@ fn long_session_streaming_memory_stays_within_the_window() {
     // the verdicts still converge.
     let window = 256usize;
     let dsspy = Dsspy {
-        session: SessionConfig {
-            batch_size: 128,
-            channel_capacity: None,
-        },
+        session: SessionConfig { batch_size: 128 },
         ..Dsspy::new()
     }
     .with_threads(1);
